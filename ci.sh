@@ -41,8 +41,9 @@
 #   PERF_DIR_RATIO       E12 full-refresh/delta steady-state bytes
 #                        ratio floor (default 10; simulator-
 #                        deterministic, so no noise headroom needed)
-#   PERF_DIR_P99_US      federation lookup p99 budget in µs at 100k
-#                        advertised ports (default 200)
+#   PERF_DIR_P99_US      federation lookup and dynamic-binding p99
+#                        budget in µs at 100k advertised ports
+#                        (default 200)
 #
 # e.g. `PERF_P99_BUDGET_US=500 ./ci.sh perf` on a heavily shared box.
 
@@ -196,8 +197,9 @@ stage_perf() {
     # Directory-federation gates: the E12 full-refresh vs delta-gossip
     # A/B must keep its steady-state bytes ratio above the floor with
     # post-churn convergence inside the anti-entropy bound, and the
-    # indexed federation lookup must hold its p99 budget with zero
-    # full-scan fallbacks at 100k advertised ports. Knobs come from
+    # indexed federation lookup and dynamic binding resolution must
+    # hold the p99 budget with zero full-scan fallbacks at 100k
+    # advertised ports. Knobs come from
     # PERF_DIR_RATIO / PERF_DIR_P99_US.
     gate perf-dir cargo run --offline --release -p bench --bin perf_dir -- \
         --check --ratio "$PERF_DIR_RATIO" --p99-budget-us "$PERF_DIR_P99_US"

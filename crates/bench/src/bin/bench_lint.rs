@@ -411,7 +411,8 @@ const GOSSIP_ROW_KEYS: [&str; 5] = [
 /// Validates one side of the perf_dir record: an `e12_delta_gossip`
 /// object with the A/B's numeric keys and a `mode` label; the `after`
 /// side must additionally carry the headline `steady_bytes_ratio` and
-/// the `e12_lookup_scale` object with the gated lookup numbers.
+/// the `e12_lookup_scale` object with the gated lookup and binding
+/// numbers.
 fn lint_dir_side(at: &str, side: &Json, is_after: bool) -> Vec<String> {
     let mut problems = Vec::new();
     match side.get("e12_delta_gossip") {
@@ -446,7 +447,7 @@ fn lint_dir_side(at: &str, side: &Json, is_after: bool) -> Vec<String> {
         }
         match side.get("e12_lookup_scale") {
             Some(lk @ Json::Object(_)) => {
-                for key in ["total_ports", "p99_ns", "scan_fallbacks"] {
+                for key in ["total_ports", "p99_ns", "bind_p99_ns", "scan_fallbacks"] {
                     match lk.get(key) {
                         Some(Json::Number(_)) => {}
                         Some(_) => problems.push(format!(
@@ -732,7 +733,7 @@ mod tests {
             "after": {"e12_delta_gossip": {"mode": "delta", "runtimes": 100, "steady_bytes": 37200,
                       "join_convergence_ms": 0, "leave_convergence_ms": 15, "final_entries": 1000},
                       "steady_bytes_ratio": 25.5,
-                      "e12_lookup_scale": {"total_ports": 1000000, "p99_ns": 441199, "scan_fallbacks": 0}}}"#;
+                      "e12_lookup_scale": {"total_ports": 1000000, "p99_ns": 441199, "bind_p99_ns": 902311, "scan_fallbacks": 0}}}"#;
         assert_eq!(lint_record(ok), Vec::<String>::new());
 
         let broken = r#"{"name": "perf_dir", "units": "bytes",
@@ -740,7 +741,7 @@ mod tests {
                        "join_convergence_ms": 0, "final_entries": 1000}},
             "after": {"e12_delta_gossip": {"mode": "", "runtimes": 100, "steady_bytes": 37200,
                       "join_convergence_ms": 0, "leave_convergence_ms": 15, "final_entries": 1000},
-                      "e12_lookup_scale": {"total_ports": 1000000, "p99_ns": 441199}}}"#;
+                      "e12_lookup_scale": {"total_ports": 1000000, "p99_ns": 441199, "bind_p99_ns": 902311}}}"#;
         assert_eq!(
             lint_record(broken),
             vec![

@@ -5,9 +5,9 @@
 //!
 //! Run with `--check` for the CI gate — a floor on the
 //! full-refresh/delta steady-state bytes ratio, a post-churn
-//! convergence ceiling, a lookup p99 budget, and the scan-free
-//! invariant (no port query falls back to a full table scan at any
-//! table size) — or with `--json FILE` to write the sweep as
+//! convergence ceiling, one p99 budget for lookups and for dynamic
+//! binding resolution, and the scan-free invariant (no port query falls
+//! back to a full table scan at any table size) — or with `--json FILE` to write the sweep as
 //! deterministic-schema JSON (byte counts and convergence are
 //! simulator-deterministic; lookup timings are wall-clock and
 //! machine-dependent, the schema is what golden files assert on). The
@@ -17,7 +17,7 @@
 //!
 //! * `--ratio X` — floor on the full-refresh/delta steady-state bytes
 //!   ratio at the check fixture (default 10; `PERF_DIR_RATIO` env).
-//! * `--p99-budget-us N` — lookup p99 budget in µs (default 200;
+//! * `--p99-budget-us N` — lookup and binding p99 budget in µs (default 200;
 //!   `PERF_DIR_P99_US` env).
 
 use bench::experiments::{e12_delta_gossip, e12_lookup_scale, DeltaGossipRow};
@@ -31,7 +31,8 @@ use bench::experiments::{e12_delta_gossip, e12_lookup_scale, DeltaGossipRow};
 const DEFAULT_BYTES_RATIO: f64 = 10.0;
 
 /// Default `--p99-budget-us`: ceiling on the p99 wall cost of one
-/// indexed federation lookup at the check fixture (100k ports).
+/// indexed federation lookup, and of one dynamic binding resolution, at
+/// the check fixture (100k ports).
 /// Measured p99 is a few µs; 200 µs keeps the gate insensitive to CI
 /// scheduling jitter while still catching an O(table) scan sneaking
 /// back into the lookup path.
@@ -141,14 +142,22 @@ fn main() {
             );
         }
 
-        // Lookup plane: p99 within budget and zero scan fallbacks —
-        // the index must answer every port query at any table size.
+        // Lookup plane: lookup and binding p99 within budget and zero
+        // scan fallbacks — the index must answer every port query at
+        // any table size.
         let lk = e12_lookup_scale(CHECK_LOOKUP_PROFILES, CHECK_LOOKUP_PORTS);
         assert!(
             lk.p99_ns <= p99_budget_ns,
             "lookup p99 at {} ports over budget: {} ns > {} ns",
             lk.total_ports,
             lk.p99_ns,
+            p99_budget_ns
+        );
+        assert!(
+            lk.bind_p99_ns <= p99_budget_ns,
+            "binding p99 at {} ports over budget: {} ns > {} ns",
+            lk.total_ports,
+            lk.bind_p99_ns,
             p99_budget_ns
         );
         assert_eq!(
@@ -159,13 +168,14 @@ fn main() {
 
         println!(
             "perf_dir --check: ok (steady bytes ratio x{ratio:.1} >= x{ratio_floor} at {} runtimes, \
-             join conv {} ms / leave conv {} ms <= {} ms, lookup p99 {} ns <= {} ns at {} ports, \
-             0 scan fallbacks)",
+             join conv {} ms / leave conv {} ms <= {} ms, lookup p99 {} ns / binding p99 {} ns \
+             <= {} ns at {} ports, 0 scan fallbacks)",
             CHECK_RUNTIMES,
             rows[1].join_convergence_ms,
             rows[1].leave_convergence_ms,
             CHECK_CONVERGENCE_MS,
             lk.p99_ns,
+            lk.bind_p99_ns,
             p99_budget_ns,
             lk.total_ports
         );
@@ -186,8 +196,12 @@ fn main() {
         lk.profiles, lk.ports_per_profile, lk.total_ports, lk.distinct_mimes, lk.build_ms
     );
     println!(
-        "{} indexed lookups: avg {} ns, p99 {} ns, scan fallbacks {}",
-        lk.lookups, lk.avg_ns, lk.p99_ns, lk.scan_fallbacks
+        "{} indexed lookups: avg {} ns, p99 {} ns, max {} ns",
+        lk.lookups, lk.avg_ns, lk.p99_ns, lk.max_ns
+    );
+    println!(
+        "{} indexed bindings: avg {} ns, p99 {} ns, max {} ns; scan fallbacks {}",
+        lk.lookups, lk.bind_avg_ns, lk.bind_p99_ns, lk.bind_max_ns, lk.scan_fallbacks
     );
 
     if let Some(file) = json_out {
@@ -209,10 +223,10 @@ fn main() {
         };
         let mut out = String::from("{\n  \"name\": \"perf_dir\",\n");
         out.push_str(
-            "  \"units\": \"*_bytes: directory-plane bytes over the named window (virtual time, simulator-deterministic); steady_secs: virtual seconds; *_convergence_ms: milliseconds of virtual time, worst runtime; deltas_applied/antientropy_repairs/final_entries/total_ports/distinct_mimes/lookups/scan_fallbacks: counts; steady_bytes_ratio: dimensionless; build_ms: wall-clock milliseconds; avg_ns/p99_ns: wall-clock nanoseconds per lookup\",\n",
+            "  \"units\": \"*_bytes: directory-plane bytes over the named window (virtual time, simulator-deterministic); steady_secs: virtual seconds; *_convergence_ms: milliseconds of virtual time, worst runtime; deltas_applied/antientropy_repairs/final_entries/total_ports/distinct_mimes/lookups/scan_fallbacks: counts; steady_bytes_ratio: dimensionless; build_ms: wall-clock milliseconds; avg_ns/p99_ns/max_ns: wall-clock nanoseconds per lookup; bind_*_ns: wall-clock nanoseconds per binding resolution\",\n",
         );
         out.push_str(
-            "  \"description\": \"E12 directory-federation A/B (DESIGN.md delta-gossip plane, EXPERIMENTS.md E12): 100 runtimes x 10 services on the 10 Mbps hub, 60 virtual seconds of steady state, then one join/leave churn cycle. 'before' is the legacy full-refresh protocol (every entry re-advertised every interval, TTL liveness); 'after' is delta-gossip (version-vectored deltas, digest anti-entropy, origin-level liveness) plus the federation lookup microbenchmark at 1M advertised ports. Byte counts and convergence are simulator-deterministic; lookup timings are wall-clock and machine-dependent. Regenerate with: cargo run --offline --release -p bench --bin perf_dir -- --json BENCH_perf_dir.json\",\n",
+            "  \"description\": \"E12 directory-federation A/B (DESIGN.md delta-gossip plane, EXPERIMENTS.md E12): 100 runtimes x 10 services on the 10 Mbps hub, 60 virtual seconds of steady state, then one join/leave churn cycle. 'before' is the legacy full-refresh protocol (every entry re-advertised every interval, TTL liveness); 'after' is delta-gossip (version-vectored deltas, digest anti-entropy, origin-level liveness) plus the federation lookup and binding microbenchmark at 1M advertised ports. Byte counts and convergence are simulator-deterministic; lookup timings are wall-clock and machine-dependent. Regenerate with: cargo run --offline --release -p bench --bin perf_dir -- --json BENCH_perf_dir.json\",\n",
         );
         out.push_str(
             "  \"machine\": \"linux x86_64 container (shared); only e12_lookup_scale and build_ms depend on the host\",\n",
@@ -222,7 +236,7 @@ fn main() {
             gossip_row(&rows[0])
         ));
         out.push_str(&format!(
-            "  \"after\": {{\n    \"e12_delta_gossip\": {},\n    \"steady_bytes_ratio\": {:.1},\n    \"e12_lookup_scale\": {{\"profiles\": {}, \"ports_per_profile\": {}, \"total_ports\": {}, \"distinct_mimes\": {}, \"build_ms\": {:.0}, \"lookups\": {}, \"avg_ns\": {}, \"p99_ns\": {}, \"scan_fallbacks\": {}}}\n  }}\n}}\n",
+            "  \"after\": {{\n    \"e12_delta_gossip\": {},\n    \"steady_bytes_ratio\": {:.1},\n    \"e12_lookup_scale\": {{\"profiles\": {}, \"ports_per_profile\": {}, \"total_ports\": {}, \"distinct_mimes\": {}, \"build_ms\": {:.0}, \"lookups\": {}, \"avg_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}, \"bind_avg_ns\": {}, \"bind_p99_ns\": {}, \"bind_max_ns\": {}, \"scan_fallbacks\": {}}}\n  }}\n}}\n",
             gossip_row(&rows[1]),
             steady_ratio(&rows),
             lk.profiles,
@@ -233,6 +247,10 @@ fn main() {
             lk.lookups,
             lk.avg_ns,
             lk.p99_ns,
+            lk.max_ns,
+            lk.bind_avg_ns,
+            lk.bind_p99_ns,
+            lk.bind_max_ns,
             lk.scan_fallbacks
         ));
         std::fs::write(&file, out).expect("write perf_dir json");

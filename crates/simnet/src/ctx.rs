@@ -71,8 +71,8 @@ impl<'w> Ctx<'w> {
 
     /// Logs a trace event attributed to this process.
     pub fn trace(&mut self, message: impl Into<String>) {
-        let name = self.world.procs[self.me.index()].name.clone();
         let now = self.world.now();
+        let name = self.world.procs[self.me.index()].name.as_str();
         self.world.trace.log(now, name, message);
     }
 
@@ -132,8 +132,8 @@ impl<'w> Ctx<'w> {
         stage: impl Into<String>,
         detail: impl Into<String>,
     ) -> crate::SpanId {
-        let name = self.world.procs[self.me.index()].name.clone();
         let now = self.world.now();
+        let name = self.world.procs[self.me.index()].name.as_str();
         self.world.trace.span(corr, now, name, stage, detail)
     }
 
@@ -147,16 +147,37 @@ impl<'w> Ctx<'w> {
         stage: impl Into<String>,
         detail: impl Into<String>,
     ) -> crate::SpanId {
-        let name = self.world.procs[self.me.index()].name.clone();
         let now = self.world.now();
+        let name = self.world.procs[self.me.index()].name.as_str();
         self.world.trace.span_begin(corr, now, name, stage, detail)
+    }
+
+    /// Opens a span whose duration this or another process reads back
+    /// from [`span_end`](Ctx::span_end) to feed a metric. The record is
+    /// journaled like any span, but the trace also keeps the start time
+    /// apart from the bounded journal, so the duration comes back even
+    /// when the journal dropped the record (the id is then a fresh one
+    /// naming no record) or evicted it before the end.
+    pub fn span_begin_timed(
+        &mut self,
+        corr: u64,
+        stage: impl Into<String>,
+        detail: impl Into<String>,
+    ) -> crate::SpanId {
+        let now = self.world.now();
+        let name = self.world.procs[self.me.index()].name.as_str();
+        self.world
+            .trace
+            .span_begin_timed(corr, now, name, stage, detail)
     }
 
     /// Closes a span at this process's *emit time* — the current virtual
     /// time plus any CPU work accumulated via [`busy`](Ctx::busy) in
     /// this handler — so modeled compute is inside the span, matching
     /// when the process's outputs actually leave it. Returns the span's
-    /// duration (`None` for an unknown, already-closed, or sentinel id).
+    /// duration (`None` for an unknown, already-closed, or sentinel id;
+    /// a [timed](Ctx::span_begin_timed) span's duration comes back even
+    /// when the journal no longer holds its record).
     pub fn span_end(&mut self, id: crate::SpanId) -> Option<crate::SimDuration> {
         let t = self.world.emit_time(self.me);
         self.world.trace.span_end(id, t)

@@ -18,7 +18,7 @@
 //! seeded world produce byte-identical snapshots
 //! ([`MetricsSnapshot::to_json`]) and byte-identical trace exports.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use crate::time::{SimDuration, SimTime};
@@ -693,6 +693,10 @@ pub struct Trace {
     /// Open span id → index into `spans`; removed when the span ends,
     /// which makes ending a span twice a no-op.
     open_index: BTreeMap<u64, usize>,
+    /// Open timed span id → start time ([`Trace::span_begin_timed`]),
+    /// kept apart from the bounded journal so a span's duration
+    /// survives the journal dropping or evicting its record.
+    timed: HashMap<u64, SimTime>,
     metrics: Metrics,
 }
 
@@ -718,6 +722,7 @@ impl Trace {
             events_overwritten_folded: 0,
             open: BTreeMap::new(),
             open_index: BTreeMap::new(),
+            timed: HashMap::new(),
             metrics: Metrics::default(),
         }
     }
@@ -853,11 +858,41 @@ impl Trace {
         id
     }
 
+    /// Opens a span whose duration the caller reads back from
+    /// [`Trace::span_end`] to feed a metric. The record is journaled
+    /// exactly as by [`Trace::span_begin`], but the start time is also
+    /// kept apart from the journal, so `span_end` returns the duration
+    /// even when the journal dropped the record (the returned id is then
+    /// a fresh one that names no record) or evicted it before the end.
+    /// A timed span that never ends keeps its start until
+    /// [`Trace::clear`].
+    pub(crate) fn span_begin_timed(
+        &mut self,
+        corr: u64,
+        time: SimTime,
+        source: impl Into<String>,
+        stage: impl Into<String>,
+        detail: impl Into<String>,
+    ) -> SpanId {
+        let mut id = self.span_begin(corr, time, source, stage, detail);
+        if !id.is_recorded() {
+            id = SpanId(self.next_span);
+            self.next_span += 1;
+        }
+        self.timed.insert(id.0, time);
+        id
+    }
+
     /// Closes a span, clamping the end to be no earlier than its start.
     /// Returns the span's duration, or `None` if the id is unknown,
-    /// already closed, or the [`SpanId::NONE`] sentinel.
+    /// already closed, or the [`SpanId::NONE`] sentinel. A timed span
+    /// ([`Ctx::span_begin_timed`](crate::Ctx::span_begin_timed)) returns
+    /// its duration whether or not the journal still holds its record.
     pub fn span_end(&mut self, id: SpanId, time: SimTime) -> Option<SimDuration> {
-        let idx = self.open_index.remove(&id.0)?;
+        let timed_start = self.timed.remove(&id.0);
+        let Some(idx) = self.open_index.remove(&id.0) else {
+            return timed_start.map(|start| time.max(start) - start);
+        };
         let record = &mut self.spans[idx];
         let end = time.max(record.start);
         record.end = Some(end);
@@ -1000,6 +1035,7 @@ impl Trace {
         self.next_span = 1;
         self.open.clear();
         self.open_index.clear();
+        self.timed.clear();
         self.metrics.clear();
     }
 }
@@ -1370,6 +1406,34 @@ mod tests {
         assert_eq!(t.span_end(b, SimTime::from_millis(1)), None);
         assert_eq!(t.spans_dropped(), 1);
         assert_eq!(t.spans().len(), 1);
+    }
+
+    #[test]
+    fn timed_spans_keep_their_duration_past_the_journal() {
+        let ms = SimTime::from_millis;
+        // Drop-on-full: the record is lost, the id still names the start.
+        let mut t = Trace::new(1);
+        let kept = t.span_begin_timed(1, ms(0), "rt0", "kept", "");
+        let lost = t.span_begin_timed(1, ms(2), "rt0", "lost", "");
+        assert!(lost.is_recorded() && lost != kept);
+        assert_eq!(t.spans().len(), 1);
+        assert_eq!(t.span_end(lost, ms(5)), Some(SimDuration::from_millis(3)));
+        assert_eq!(t.span_end(lost, ms(6)), None, "double end");
+        assert_eq!(t.span_end(kept, ms(1)), Some(SimDuration::from_millis(1)));
+        assert_eq!(t.spans()[0].end, Some(ms(1)));
+
+        // Flight recorder: the record is evicted before it ends.
+        let mut ring = Trace::new(4);
+        ring.enable_flight_recorder(4);
+        let timed = ring.span_begin_timed(7, ms(1), "rt0", "queue.wait", "");
+        for i in 0..8 {
+            ring.span(0, ms(i), "src", "filler", "");
+        }
+        assert!(ring.spans().iter().all(|s| s.id != timed));
+        assert_eq!(
+            ring.span_end(timed, ms(9)),
+            Some(SimDuration::from_millis(8))
+        );
     }
 
     #[test]

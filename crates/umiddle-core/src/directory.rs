@@ -5,7 +5,8 @@
 //! replica of the federation's translator profiles, kept in sync by the
 //! delta-gossip plane (see [`crate::replica`]) or, in the legacy
 //! full-refresh mode, by periodic advertisements with a TTL. The replica
-//! serves `lookup(Query)` locally and feeds directory listeners.
+//! serves `lookup(Query)` and the binding step of `connect(Port, Query)`
+//! locally, and feeds directory listeners.
 
 use std::cell::Cell;
 use std::cmp::Reverse;
@@ -13,7 +14,7 @@ use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
 
 use simnet::{Addr, SimTime};
 
-use crate::id::{RuntimeId, TranslatorId};
+use crate::id::{PortRef, RuntimeId, TranslatorId};
 use crate::mime::MimeType;
 use crate::profile::TranslatorProfile;
 use crate::query::Query;
@@ -33,6 +34,18 @@ pub struct DirectoryEntry {
     /// `true` if the translator is hosted by this runtime (local entries
     /// never expire).
     pub local: bool,
+}
+
+impl DirectoryEntry {
+    /// Where a path to this translator goes: `None` for a translator
+    /// hosted here, else its runtime's address.
+    pub(crate) fn route(&self) -> Option<Addr> {
+        if self.local {
+            None
+        } else {
+            Some(self.home)
+        }
+    }
 }
 
 /// Effect of applying an advertisement to the table.
@@ -59,7 +72,8 @@ enum IndexPlan<'a> {
 /// The in-memory directory replica.
 ///
 /// Besides the id-ordered entry map, the table keeps secondary indexes so
-/// `lookup` never scans the whole federation for port-shaped queries:
+/// `lookup` and `bindings` never scan the whole federation for
+/// port-shaped queries:
 ///
 /// * `(direction, concrete port MIME type)` → translator ids, serving the
 ///   hot [`Query::HasPort`] shape issued on every dynamic binding attempt;
@@ -89,8 +103,9 @@ pub struct DirectoryTable {
     /// of scanning the whole replica. Entries with `expires == MAX`
     /// (delta-gossip liveness) never enter the heap.
     expiry: BinaryHeap<Reverse<(SimTime, TranslatorId)>>,
-    /// How many lookups fell back to the full scan (interior mutability:
-    /// `lookup` takes `&self`). Pinned by the index regression tests.
+    /// How many lookups and binding resolutions fell back to the full
+    /// scan (interior mutability: both take `&self`). Pinned by the index
+    /// regression tests.
     scan_fallbacks: Cell<u64>,
 }
 
@@ -259,7 +274,8 @@ impl DirectoryTable {
         self.entries.get(&id)
     }
 
-    /// Serves the paper's `lookup(Query)`: profiles matching the query.
+    /// Serves the paper's `lookup(Query)`: profiles matching the query,
+    /// in ascending id order.
     ///
     /// When the query (or one conjunct of an `And` chain) demands a
     /// digital port, only entries the indexes nominate are visited —
@@ -269,6 +285,53 @@ impl DirectoryTable {
     /// invariant already guarantees a match), so the result is identical
     /// to a table scan.
     pub fn lookup(&self, query: &Query) -> Vec<&TranslatorProfile> {
+        let mut out = Vec::new();
+        self.for_each_match(query, |e| out.push(&e.profile));
+        out
+    }
+
+    /// Serves dynamic template binding, `connect(Port, Query)`: for every
+    /// profile matching `query` other than the source translator `src`,
+    /// its first digital input port (in declaration order) whose type
+    /// accepts `src_kind`, with the entry's home — `None` for a
+    /// translator hosted here. Matching profiles without such a port are
+    /// skipped.
+    ///
+    /// Candidates come from the same index plan as [`Self::lookup`], in
+    /// ascending id order, so the list equals a scan of the whole table;
+    /// a query no index can narrow scans and counts in
+    /// [`Self::scan_fallbacks`].
+    pub fn bindings(
+        &self,
+        query: &Query,
+        src: TranslatorId,
+        src_kind: &PortKind,
+    ) -> Vec<(PortRef, Option<Addr>)> {
+        let mut out = Vec::new();
+        self.for_each_match(query, |e| {
+            let id = e.profile.id();
+            if id == src {
+                return;
+            }
+            if let Some(port) = e.profile.shape().binding_input(src_kind) {
+                out.push((PortRef::new(id, port.name.as_str()), e.route()));
+            }
+        });
+        out
+    }
+
+    /// The transport address of runtime `origin`, taken from any remote
+    /// entry it originated — an `O(log n)` range lookup, since ids order
+    /// by runtime first.
+    pub(crate) fn origin_home(&self, origin: RuntimeId) -> Option<Addr> {
+        self.origin_entries(origin)
+            .find(|e| !e.local)
+            .map(|e| e.home)
+    }
+
+    /// Visits the entries matching `query` in ascending id order, from
+    /// the index plan when there is one, else from a counted full scan.
+    fn for_each_match<'a>(&'a self, query: &Query, mut visit: impl FnMut(&'a DirectoryEntry)) {
         match Self::index_plan(query) {
             Some(IndexPlan::Concrete(direction, mime)) => {
                 // When the whole query *is* the concrete port demand (the
@@ -284,23 +347,26 @@ impl DirectoryTable {
                 // Wildcard-typed ports match any concrete query type.
                 let patterns = self.pattern_ports.get(&direction);
                 if root_is_plan && patterns.is_none() {
-                    return exact
+                    exact
                         .into_iter()
                         .flatten()
                         .filter_map(|id| self.entries.get(id))
-                        .map(|e| &e.profile)
-                        .collect();
+                        .for_each(visit);
+                    return;
                 }
                 let mut ids: BTreeSet<TranslatorId> = BTreeSet::new();
                 ids.extend(exact.into_iter().flatten().copied());
                 ids.extend(patterns.into_iter().flatten().copied());
-                ids.iter()
-                    .filter_map(|id| self.entries.get(id).map(|e| (id, &e.profile)))
-                    .filter(|(id, p)| {
-                        (root_is_plan && exact.is_some_and(|s| s.contains(id))) || query.matches(p)
-                    })
-                    .map(|(_, p)| p)
-                    .collect()
+                for id in &ids {
+                    let Some(e) = self.entries.get(id) else {
+                        continue;
+                    };
+                    if (root_is_plan && exact.is_some_and(|s| s.contains(id)))
+                        || query.matches(&e.profile)
+                    {
+                        visit(e);
+                    }
+                }
             }
             Some(IndexPlan::AnyDigital(direction)) => self
                 .digital_by_direction
@@ -308,22 +374,21 @@ impl DirectoryTable {
                 .into_iter()
                 .flatten()
                 .filter_map(|id| self.entries.get(id))
-                .map(|e| &e.profile)
-                .filter(|p| query.matches(p))
-                .collect(),
+                .filter(|e| query.matches(&e.profile))
+                .for_each(visit),
             None => {
                 self.scan_fallbacks.set(self.scan_fallbacks.get() + 1);
                 self.entries
                     .values()
-                    .map(|e| &e.profile)
-                    .filter(|p| query.matches(p))
-                    .collect()
+                    .filter(|e| query.matches(&e.profile))
+                    .for_each(visit);
             }
         }
     }
 
-    /// How many lookups have fallen back to the full table scan (queries
-    /// no index can narrow: name/attribute predicates, `Or`/`Not` roots).
+    /// How many lookups and binding resolutions have fallen back to the
+    /// full table scan (queries no index can narrow: name/attribute
+    /// predicates, `Or`/`Not` roots).
     pub fn scan_fallbacks(&self) -> u64 {
         self.scan_fallbacks.get()
     }
@@ -718,6 +783,147 @@ mod tests {
         // The wildcard side list follows as well.
         let any_in = Query::has_port(Direction::Input, PortKind::Digital(MimeType::any()));
         assert_eq!(t.lookup(&any_in), scan(&t, &any_in));
+    }
+
+    /// Reference implementation of binding resolution: the pre-index
+    /// runtime scan over every entry.
+    fn scan_bindings(
+        t: &DirectoryTable,
+        query: &Query,
+        src: TranslatorId,
+        src_kind: &PortKind,
+    ) -> Vec<(PortRef, Option<Addr>)> {
+        let mut out = Vec::new();
+        for entry in t.iter() {
+            let profile = &entry.profile;
+            if profile.id() == src || !query.matches(profile) {
+                continue;
+            }
+            let port = profile
+                .shape()
+                .ports_in(Direction::Input)
+                .find(|p| p.kind.is_digital() && p.kind.matches(src_kind));
+            if let Some(port) = port {
+                out.push((
+                    PortRef::new(profile.id(), port.name.clone()),
+                    if entry.local { None } else { Some(entry.home) },
+                ));
+            }
+        }
+        out
+    }
+
+    const MIMES: [&str; 7] = [
+        "image/jpeg",
+        "image/png",
+        "audio/pcm",
+        "text/plain",
+        "image/*",
+        "*/pcm",
+        "*/*",
+    ];
+
+    fn arb_kind(rng: &mut simnet::SimRng) -> PortKind {
+        if rng.gen_bool(0.1) {
+            PortKind::physical(crate::shape::PerceptionType::Visible, "screen")
+        } else {
+            let mime = MIMES[rng.gen_range(0..MIMES.len())];
+            PortKind::Digital(mime.parse().expect("test mime"))
+        }
+    }
+
+    fn arb_direction(rng: &mut simnet::SimRng) -> Direction {
+        if rng.gen_bool(0.5) {
+            Direction::Input
+        } else {
+            Direction::Output
+        }
+    }
+
+    /// A random federation view: entries of runtime 0 are local, the
+    /// rest remote with a home per runtime; ports mix concrete, pattern
+    /// and physical kinds in both directions.
+    fn arb_table(rng: &mut simnet::SimRng) -> DirectoryTable {
+        let mut t = DirectoryTable::new();
+        for i in 0..rng.gen_range(0usize..40) {
+            let rt = rng.gen_range(0u32..4);
+            let mut b = crate::shape::Shape::builder();
+            for k in 0..rng.gen_range(0usize..5) {
+                let name = format!("p{k}");
+                let dir = arb_direction(rng);
+                b = match arb_kind(rng) {
+                    PortKind::Digital(mime) => b.digital(&name, dir, mime),
+                    PortKind::Physical { perception, media } => {
+                        b.physical(&name, dir, perception, &media)
+                    }
+                };
+            }
+            let name = ["Camera", "Printer", "Display", "Speaker"][i % 4];
+            let profile =
+                TranslatorProfile::builder(TranslatorId::new(RuntimeId(rt), i as u32), name)
+                    .shape(b.build().expect("unique port names"))
+                    .build();
+            let home = Addr::new(NodeId::from_index(rt as usize), 47_001);
+            t.upsert(profile, home, SimTime::MAX, rt == 0);
+        }
+        t
+    }
+
+    fn arb_binding_query(rng: &mut simnet::SimRng) -> Query {
+        let port = Query::has_port(arb_direction(rng), arb_kind(rng));
+        match rng.gen_range(0u8..6) {
+            0 | 1 => port,
+            2 => port.and(Query::NameContains("a".to_owned())),
+            3 => Query::NameContains("r".to_owned()).and(port),
+            4 => port.or(Query::NameIs("Camera".to_owned())),
+            _ => Query::All,
+        }
+    }
+
+    #[test]
+    fn bindings_agree_with_the_scan() {
+        simnet::check_cases("bindings_agree_with_the_scan", 256, |_, rng| {
+            let t = arb_table(rng);
+            for _ in 0..8 {
+                let query = arb_binding_query(rng);
+                let src_kind = arb_kind(rng);
+                // The source is sometimes in the table, sometimes not.
+                let src =
+                    TranslatorId::new(RuntimeId(rng.gen_range(0u32..4)), rng.gen_range(0u32..40));
+                let planned = DirectoryTable::index_plan(&query).is_some();
+                let before = t.scan_fallbacks();
+                assert_eq!(
+                    t.bindings(&query, src, &src_kind),
+                    scan_bindings(&t, &query, src, &src_kind),
+                    "bindings disagree with the scan on {query} from {src_kind}"
+                );
+                let scanned = t.scan_fallbacks() - before;
+                assert_eq!(
+                    scanned,
+                    u64::from(!planned),
+                    "{query} scanned {scanned} time(s)"
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn origin_home_reads_any_remote_entry_of_that_runtime() {
+        let mut t = DirectoryTable::new();
+        let home = |node| Addr::new(NodeId::from_index(node), 47_001);
+        for (rt, local, is_local) in [(0, 3, true), (1, 0, false), (1, 9, false), (3, 2, false)] {
+            t.upsert(
+                profile(local, "svc").with_id(TranslatorId::new(RuntimeId(rt), local)),
+                home(rt as usize + 10),
+                SimTime::MAX,
+                is_local,
+            );
+        }
+        assert_eq!(t.origin_home(RuntimeId(1)), Some(home(11)));
+        assert_eq!(t.origin_home(RuntimeId(3)), Some(home(13)));
+        // No entry from runtime 2; runtime 0's only entry is local.
+        assert_eq!(t.origin_home(RuntimeId(2)), None);
+        assert_eq!(t.origin_home(RuntimeId(0)), None);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use simnet::{
 };
 
 use crate::api::{ConnectTarget, DirectoryEvent, InputDelivery, RuntimeEvent, RuntimeRequest};
-use crate::directory::UpsertEffect;
+use crate::directory::{DirectoryEntry, UpsertEffect};
 use crate::error::{CoreError, CoreResult};
 use crate::id::{ConnectionId, PortRef, RuntimeId, TranslatorId};
 use crate::intern::Symbol;
@@ -901,7 +901,7 @@ impl UmiddleRuntime {
                 src_kind, port.kind
             )));
         }
-        Ok(if entry.local { None } else { Some(entry.home) })
+        Ok(entry.route())
     }
 
     fn new_path(&mut self, dst: PortRef, home: Option<Addr>, qos: &QosPolicy) -> PathState {
@@ -937,7 +937,10 @@ impl UmiddleRuntime {
                 paths.push(self.new_path(*dst, home, &qos));
             }
             ConnectTarget::Query(query) => {
-                let matches = self.query_bindings(query, &src, &src_kind);
+                let matches = self
+                    .directory
+                    .table()
+                    .bindings(query, src.translator, &src_kind);
                 ctx.span(
                     corr,
                     "directory.lookup",
@@ -993,43 +996,16 @@ impl UmiddleRuntime {
         Ok(id)
     }
 
-    /// Finds `(dst port, home)` bindings for a query template: every
-    /// directory profile matching the query contributes its first input
-    /// port whose type matches the source.
-    fn query_bindings(
-        &self,
-        query: &Query,
-        src: &PortRef,
-        src_kind: &PortKind,
-    ) -> Vec<(PortRef, Option<Addr>)> {
-        let mut out = Vec::new();
-        for entry in self.directory.table().iter() {
-            let profile = &entry.profile;
-            if profile.id() == src.translator || !query.matches(profile) {
-                continue;
-            }
-            let port = profile
-                .shape()
-                .ports_in(Direction::Input)
-                .find(|p| p.kind.is_digital() && p.kind.matches(src_kind));
-            if let Some(port) = port {
-                out.push((
-                    PortRef::new(profile.id(), port.name.clone()),
-                    if entry.local { None } else { Some(entry.home) },
-                ));
-            }
-        }
-        out
-    }
-
     /// Adds paths to query connections when a new profile appears.
     fn bind_query_connections(&mut self, ctx: &mut Ctx<'_>, profile: &TranslatorProfile) {
-        let entry_home =
-            self.directory
-                .table()
-                .get(profile.id())
-                .map(|e| if e.local { None } else { Some(e.home) });
-        let Some(home) = entry_home else { return };
+        let Some(home) = self
+            .directory
+            .table()
+            .get(profile.id())
+            .map(DirectoryEntry::route)
+        else {
+            return;
+        };
         // Only query-target connections can bind late; appearance events
         // are rare, so a clone of the candidate list is fine here.
         let candidates: Vec<ConnectionId> = self.query_conns.clone();
@@ -1046,13 +1022,10 @@ impl UmiddleRuntime {
             {
                 continue;
             }
-            let port = profile
-                .shape()
-                .ports_in(Direction::Input)
-                .find(|p| p.kind.is_digital() && p.kind.matches(&conn.src_kind))
-                .map(|p| p.name.clone());
-            let Some(port) = port else { continue };
-            let dst = PortRef::new(profile.id(), port);
+            let Some(port) = profile.shape().binding_input(&conn.src_kind) else {
+                continue;
+            };
+            let dst = PortRef::new(profile.id(), port.name.as_str());
             ctx.span(cid.corr(), "path.bound", format!("dst={dst} (late)"));
             let qos = conn.qos.clone();
             let requester = conn.requester;
@@ -1162,13 +1135,7 @@ impl UmiddleRuntime {
         }
         // Owned by a remote runtime: forward the disconnect there (any
         // directory entry from that runtime gives us its address).
-        let home = self
-            .directory
-            .table()
-            .iter()
-            .find(|e| e.profile.id().runtime == connection.runtime && !e.local)
-            .map(|e| e.home);
-        if let Some(home) = home {
+        if let Some(home) = self.directory.table().origin_home(connection.runtime) {
             let peer_directory = self.peer_directory(home);
             self.unicast_wire(
                 ctx,
@@ -1222,7 +1189,7 @@ impl UmiddleRuntime {
                     // A copy the QoS policy evicts leaves its span
                     // unclosed — visible in the span tree as a message
                     // that entered a buffer and never left.
-                    let q = ctx.span_begin(
+                    let q = ctx.span_begin_timed(
                         cid.corr(),
                         "queue.wait",
                         format!("port={port} path={}", p.uid),
@@ -1459,7 +1426,7 @@ impl UmiddleRuntime {
                                 // closes it, so its duration is the full
                                 // serialize→transmit→decode leg of the
                                 // hop.
-                                let sent = ctx.span_begin(
+                                let sent = ctx.span_begin_timed(
                                     cid.corr(),
                                     "transport.send",
                                     format!("dst={dst}"),

@@ -294,6 +294,13 @@ impl Shape {
             .any(|p| p.direction == direction && p.kind.matches(kind))
     }
 
+    /// The input port a dynamic binding attaches to: the first digital
+    /// input, in declaration order, whose type accepts `src_kind`.
+    pub(crate) fn binding_input(&self, src_kind: &PortKind) -> Option<&PortSpec> {
+        self.ports_in(Direction::Input)
+            .find(|p| p.kind.is_digital() && p.kind.matches(src_kind))
+    }
+
     /// Finds ports on `self` and `other` that can be wired together:
     /// returns pairs `(our output port, their input port)` with matching
     /// data types. This is the compatibility relation of Service Shaping.

@@ -1023,3 +1023,85 @@ fn partition_and_heal_recovers_the_directory() {
         events.borrow()
     );
 }
+
+/// What [`latency_histogram_counts`] observed.
+struct HistogramRun {
+    delivered: u64,
+    queue_wait: u64,
+    transport_latency: u64,
+    spans_dropped: u64,
+    ring_overwrites: u64,
+}
+
+/// Runs a camera on host0 bursting `frames` JPEGs to a TV on host1 over
+/// a static cross-runtime path, with the world's span journal set up by
+/// `journal`, and counts the deliveries against rt0's `queue_wait` and
+/// rt1's `transport_latency` histograms.
+fn latency_histogram_counts(frames: u64, journal: impl FnOnce(&mut World)) -> HistogramRun {
+    let mut tb = testbed(2);
+    journal(&mut tb.world);
+    let mut camera = TestService::new("camera", jpeg_source_shape(), tb.runtimes[0]);
+    for i in 0..frames {
+        camera.emit_at.push((
+            SimDuration::from_secs(3) + SimDuration::from_micros(100 * i),
+            "image-out".to_owned(),
+            jpeg(1024),
+        ));
+    }
+    let tv = TestService::new("tv", jpeg_sink_shape(), tb.runtimes[1]);
+    let tv_received = Rc::clone(&tv.received);
+    tb.world.add_process(tb.nodes[0], Box::new(camera));
+    tb.world.add_process(tb.nodes[1], Box::new(tv));
+    let connector = Connector::new(
+        tb.runtimes[0],
+        "camera",
+        "image-out",
+        ConnectorTarget::Named("tv".to_owned(), "media-in".to_owned()),
+    );
+    tb.world.add_process(tb.nodes[0], Box::new(connector));
+    tb.world.run_until(SimTime::from_secs(10));
+    let trace = tb.world.trace();
+    let count = |name: &str| trace.metrics().histogram(name).map_or(0, |h| h.count());
+    let delivered = tv_received.borrow().len() as u64;
+    HistogramRun {
+        delivered,
+        queue_wait: count("rt0.queue_wait"),
+        transport_latency: count("rt1.transport_latency"),
+        spans_dropped: trace.spans_dropped(),
+        ring_overwrites: trace.ring_overwrites(),
+    }
+}
+
+#[test]
+fn latency_histograms_count_every_delivery_past_a_full_journal() {
+    // A four-span drop-on-full journal fills during set-up, so no
+    // queue.wait or transport.send span of the stream is recorded; their
+    // durations must still reach the histograms.
+    let run = latency_histogram_counts(20, |w| w.trace_mut().set_capacity(4));
+    assert_eq!(run.delivered, 20);
+    assert!(run.spans_dropped > 0, "the journal never filled");
+    assert_eq!(
+        run.queue_wait, run.delivered,
+        "rt0.queue_wait missed deliveries"
+    );
+    assert_eq!(
+        run.transport_latency, run.delivered,
+        "rt1.transport_latency missed deliveries"
+    );
+}
+
+#[test]
+fn latency_histograms_count_every_delivery_under_an_evicting_recorder() {
+    // A four-span flight recorder evicts spans before they end.
+    let run = latency_histogram_counts(20, |w| w.trace_mut().enable_flight_recorder(4));
+    assert_eq!(run.delivered, 20);
+    assert!(run.ring_overwrites > 0, "the recorder never evicted");
+    assert_eq!(
+        run.queue_wait, run.delivered,
+        "rt0.queue_wait missed deliveries"
+    );
+    assert_eq!(
+        run.transport_latency, run.delivered,
+        "rt1.transport_latency missed deliveries"
+    );
+}
